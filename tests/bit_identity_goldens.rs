@@ -1,13 +1,15 @@
-//! Pre-refactor bit-identity goldens (ISSUE 8 satellite).
+//! Bit-identity goldens: refactors must leave the simulation
+//! byte-identical.
 //!
-//! The subarray/bank-isolation refactor must leave every pre-existing
-//! engine bit-identical at `subarrays_per_bank = 1` under
-//! `RecoveryScope::SubChannel`: same cycle counts, same RNG streams,
-//! same snapshot bytes. This test pins that property against goldens
-//! captured from the tree *before* the refactor landed: a mid-run
-//! snapshot digest (FNV-1a-64 over the full `System::snapshot` byte
-//! stream — device, controller, engines, RNGs and all) plus the final
-//! run statistics, per pre-existing engine × kernel.
+//! Every registered engine is pinned on a 1-channel `tiny` system, and
+//! `mopac-d` and `practical` additionally on a 4-channel `tiny`
+//! system (rows labelled `<engine>@4ch`), each under both kernels with
+//! the Rowhammer oracle on: same cycle counts, same RNG streams, same
+//! snapshot bytes. A row holds a mid-run snapshot digest (FNV-1a-64
+//! over the full `System::snapshot` byte stream — every channel's
+//! device, controller, engines, RNGs and all) taken at the third REF
+//! plus the final run statistics. Rows are recorded from the tree
+//! *before* a refactor lands and must pass unchanged after it.
 //!
 //! Regenerate (only legitimate when a PR intentionally changes the
 //! snapshot format or simulation behavior) with:
@@ -23,10 +25,8 @@ use mopac_types::snapshot::fnv1a64;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-/// The engines that existed before the subarray refactor. `practical`
-/// is deliberately absent: it is the engine the refactor introduces,
-/// so it has no pre-refactor behavior to pin.
-const PRE_REFACTOR_ENGINES: [&str; 7] = [
+/// Engines pinned on the 1-channel system: every registered engine.
+const ENGINES: [&str; 8] = [
     "baseline",
     "prac",
     "mopac-c",
@@ -34,7 +34,23 @@ const PRE_REFACTOR_ENGINES: [&str; 7] = [
     "mopac-d-nup",
     "qprac",
     "cnc-prac",
+    "practical",
 ];
+
+/// Engines pinned on the 4-channel system, where every channel runs
+/// its own controller, device and RNG streams.
+const FOUR_CHANNEL_ENGINES: [&str; 2] = ["mopac-d", "practical"];
+
+/// Per-core instruction budget of a row. Four channels drain the same
+/// traffic faster, so the 4-channel rows run longer to stay alive past
+/// the REF-3 snapshot point.
+fn budget(channels: u32) -> u64 {
+    if channels == 1 {
+        20_000
+    } else {
+        60_000
+    }
+}
 
 fn golden_path() -> PathBuf {
     // CARGO_MANIFEST_DIR is crates/sim; the goldens live next to the
@@ -43,12 +59,15 @@ fn golden_path() -> PathBuf {
 }
 
 /// One golden line: mid-run snapshot digest + end-of-run statistics.
-fn golden_line(engine: &str, kernel: KernelMode) -> String {
+fn golden_line(engine: &str, channels: u32, kernel: KernelMode) -> String {
     let mut cfg = SystemConfig::paper_default(
-        mitigation_preset(engine, 500).expect("pre-existing engine"),
-        20_000,
+        mitigation_preset(engine, 500).expect("registered engine"),
+        budget(channels),
     );
-    cfg.geometry = DramGeometry::tiny();
+    cfg.geometry = DramGeometry {
+        channels,
+        ..DramGeometry::tiny()
+    };
     cfg.enable_checker = true;
     cfg.kernel = kernel;
     let mut sys = System::new(cfg.clone(), build_traces("xz", &cfg).unwrap()).unwrap();
@@ -66,8 +85,13 @@ fn golden_line(engine: &str, kernel: KernelMode) -> String {
         KernelMode::EventDriven => "event",
         KernelMode::Lockstep => "lockstep",
     };
+    let label = if channels == 1 {
+        engine.to_string()
+    } else {
+        format!("{engine}@{channels}ch")
+    };
     format!(
-        "{engine},{kname},{digest:016x},{},{},{},{},{},{},{},{:016x}",
+        "{label},{kname},{digest:016x},{},{},{},{},{},{},{},{:016x}",
         result.cycles,
         result.dram.activates,
         result.dram.reads,
@@ -81,10 +105,14 @@ fn golden_line(engine: &str, kernel: KernelMode) -> String {
 
 #[test]
 fn pre_refactor_engines_match_goldens() {
+    let rows = ENGINES
+        .iter()
+        .map(|&e| (e, 1))
+        .chain(FOUR_CHANNEL_ENGINES.iter().map(|&e| (e, 4)));
     let mut lines = Vec::new();
-    for engine in PRE_REFACTOR_ENGINES {
+    for (engine, channels) in rows {
         for kernel in [KernelMode::EventDriven, KernelMode::Lockstep] {
-            lines.push(golden_line(engine, kernel));
+            lines.push(golden_line(engine, channels, kernel));
         }
     }
     let mut rendered = String::from(
@@ -122,7 +150,7 @@ fn pre_refactor_engines_match_goldens() {
     for (got, want) in lines.iter().zip(&golden_lines) {
         assert_eq!(
             got, want,
-            "bit-identity regression vs pre-refactor golden \
+            "bit-identity regression vs recorded golden \
              (format: engine,kernel,digest,cycles,activates,reads,rfms,refreshes,\
              mitigations,violations,latency_bits)"
         );
