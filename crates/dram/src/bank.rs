@@ -253,7 +253,7 @@ impl Bank {
 
     /// Fault hook: wedges the bank until `until`. An open bank cannot be
     /// precharged (stuck-open row); a closed bank cannot be activated.
-    pub fn stick_until(&mut self, until: Cycle) {
+    pub fn wedge_until(&mut self, until: Cycle) {
         if self.open.is_some() {
             self.pre_allowed = self.pre_allowed.max(until);
         } else {

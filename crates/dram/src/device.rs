@@ -1283,7 +1283,7 @@ impl DramDevice {
     /// Returns [`MopacError::Config`] for an out-of-range bank.
     pub fn inject_stuck_bank(&mut self, sc: u32, bank: u32, until: Cycle) -> MopacResult<()> {
         self.check_bank(sc, bank)?;
-        self.sub_mut(sc).banks[bank as usize].stick_until(until);
+        self.sub_mut(sc).banks[bank as usize].wedge_until(until);
         self.stats.injected_faults += 1;
         Ok(())
     }

@@ -33,10 +33,10 @@
 
 pub mod attack;
 pub mod campaign;
+pub mod channels;
 pub mod experiment;
 pub mod fault;
 pub mod runner;
-pub mod shard;
 pub mod system;
 
 pub use attack::{run_attack, run_attack_instrumented, AttackConfig, AttackResult, AttackRun};
@@ -45,8 +45,8 @@ pub use campaign::{
     CheckpointSummary, CheckpointedFaultCampaign, FaultCampaignSpec, FaultCellOutcome,
     ParallelCampaign,
 };
+pub use channels::ChannelSet;
 pub use experiment::{mean_slowdown, run_workload, slowdown_sweep};
 pub use fault::{FaultInjector, FaultKind, FaultPlan, FaultSpec};
 pub use runner::{IsolatedRunner, RunReport, RunStatus};
-pub use shard::{resolve_shard_threads, ChannelSet};
 pub use system::{KernelMode, RunResult, System, SystemConfig};

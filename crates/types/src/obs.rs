@@ -133,14 +133,11 @@ pub enum Counter {
     PrefetchLateHits,
     /// Trace ring: events dropped because the ring was full.
     TraceEventsDropped,
-    /// Event kernel: channel-tick synchronization rounds (one per
-    /// per-cycle fork-join, one per macro batch).
-    KernelSyncRounds,
 }
 
 impl Counter {
     /// Every counter, in declaration order (export order).
-    pub const ALL: [Counter; 42] = [
+    pub const ALL: [Counter; 41] = [
         Counter::McReadsDone,
         Counter::McWritesDone,
         Counter::McReadLatencySum,
@@ -182,7 +179,6 @@ impl Counter {
         Counter::PrefetchHits,
         Counter::PrefetchLateHits,
         Counter::TraceEventsDropped,
-        Counter::KernelSyncRounds,
     ];
 
     /// Stable export name (`layer.metric`).
@@ -230,7 +226,6 @@ impl Counter {
             Counter::PrefetchHits => "prefetch.hits",
             Counter::PrefetchLateHits => "prefetch.late_hits",
             Counter::TraceEventsDropped => "trace.events_dropped",
-            Counter::KernelSyncRounds => "kernel.sync_rounds",
         }
     }
 }
@@ -289,9 +284,6 @@ pub enum Hist {
     /// Open time of a row at precharge (cycles); labeled by
     /// sub-channel.
     RowOpenTime,
-    /// Cycles covered per macro batch in the batched channel-shard
-    /// handoff (label 0; the system records one sample per batch).
-    KernelBatchLen,
 }
 
 impl Hist {
@@ -304,7 +296,6 @@ impl Hist {
             Hist::AboServiceTime => "dram.abo_service_time",
             Hist::SrqOccupancy => "engine.srq_occupancy",
             Hist::RowOpenTime => "dram.row_open_time",
-            Hist::KernelBatchLen => "kernel.batch_len",
         }
     }
 
@@ -324,7 +315,6 @@ impl Hist {
             2 => Some(Hist::AboServiceTime),
             3 => Some(Hist::SrqOccupancy),
             4 => Some(Hist::RowOpenTime),
-            5 => Some(Hist::KernelBatchLen),
             _ => None,
         }
     }

@@ -172,7 +172,8 @@ fn equivalence_idle_heavy_bulk_regions() {
 /// to lockstep under arbitrary mixes of ALERT storms, dropped and
 /// delayed RFMs, counter bit-flips and wedged banks. Every plan always
 /// carries an ABO storm so the stall classification is exercised; the
-/// rest of the plan is drawn from a deterministic RNG.
+/// rest of the plan is drawn from a deterministic RNG. Each plan runs
+/// on a 1-channel and a 4-channel `tiny` system.
 #[test]
 fn stats_equivalence_under_random_fault_plans() {
     let mut rng = DetRng::from_seed(0x0B5E_C0DE);
@@ -213,9 +214,15 @@ fn stats_equivalence_under_random_fault_plans() {
             1 => MitigationConfig::mopac_d(500),
             _ => MitigationConfig::prac(500),
         };
-        let mut cfg = tiny_cfg(mit, 15_000);
-        cfg.fault_plan = Some(plan);
-        assert_equivalent(cfg, &format!("random fault plan #{case}"));
+        // On 4 channels the faults land on channel 0 while the others
+        // run clean, so the merged cross-channel wake is checked under
+        // faults.
+        for channels in [1, 4] {
+            let mut cfg = tiny_cfg(mit, 15_000);
+            cfg.geometry.channels = channels;
+            cfg.fault_plan = Some(plan.clone());
+            assert_equivalent(cfg, &format!("random fault plan #{case} @ {channels}ch"));
+        }
     }
 }
 
