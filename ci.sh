@@ -166,6 +166,23 @@ if [[ $fast -eq 0 ]]; then
   fi
   echo "kill-and-resume OK: CSVs byte-identical ($committed cell(s) survived the SIGKILL)"
 
+  # Thread-count independence gate: the slowdown figures run their
+  # cells in parallel on ParallelCampaign (through run_cells), so one
+  # worker and two workers must write byte-identical CSVs.
+  step "figure thread-count independence gate (fig9, 1 vs 2 workers)"
+  fig_root=$(mktemp -d)
+  trap 'rm -rf "$ckpt_root" "$fig_root"' EXIT
+  for threads in 1 2; do
+    MOPAC_THREADS=$threads MOPAC_INSTRS=20000 MOPAC_WORKLOADS=xz,mcf,cam4 \
+      MOPAC_DATA_DIR="$fig_root/t$threads" ./target/release/fig9_mopac_c >/dev/null
+  done
+  if ! cmp -s "$fig_root/t1/fig9.csv" "$fig_root/t2/fig9.csv"; then
+    echo "FAIL: fig9.csv differs between MOPAC_THREADS=1 and MOPAC_THREADS=2"
+    diff "$fig_root/t1/fig9.csv" "$fig_root/t2/fig9.csv" | head
+    exit 1
+  fi
+  echo "fig9.csv byte-identical at 1 and 2 worker threads"
+
   # Crash-safety gate 2: periodic snapshots on a saturated attack run
   # (every 32 REF windows) must cost < 5% wall-clock.
   step "snapshot overhead gate (saturated attack, < 5%)"

@@ -15,9 +15,9 @@
 
 use mopac::config::MitigationConfig;
 use mopac::EngineRegistry;
-use mopac_bench::{instr_budget, pct, workload_filter, Report};
+use mopac_bench::{instr_budget, mean_slowdown, pct, run_grid, workload_filter, Report};
 use mopac_sim::attack::{run_attack_instrumented, AttackConfig};
-use mopac_sim::experiment::run_workload;
+use mopac_sim::system::SystemConfig;
 use mopac_types::geometry::{BankRef, DramGeometry};
 use mopac_types::obs::SinkConfig;
 use mopac_workloads::attack::DoubleSidedHammer;
@@ -61,27 +61,24 @@ fn main() {
         &headers,
     );
 
-    let baselines: Vec<_> = workloads
-        .iter()
-        .map(|w| {
-            run_workload(w, MitigationConfig::baseline(), instrs).expect("baseline run")
-        })
+    // Config 0 is the baseline, config `1 + e` engine `e`.
+    let presets: Vec<MitigationConfig> = engines.iter().map(|spec| (spec.preset)(500)).collect();
+    let configs: Vec<SystemConfig> = std::iter::once(MitigationConfig::baseline())
+        .chain(presets.iter().copied())
+        .map(|m| SystemConfig::paper_default(m, instrs))
         .collect();
+    let grid = run_grid(&workloads, &configs).expect("workload run");
 
     let mut json = String::from("{\n");
-    for (ei, spec) in engines.iter().enumerate() {
-        let cfg = (spec.preset)(500);
+    for (ei, (spec, &cfg)) in engines.iter().zip(&presets).enumerate() {
         let mut cells = vec![spec.name.to_string()];
         let mut entries = Vec::new();
-        let mut sum = 0.0f64;
-        for (w, base) in workloads.iter().zip(&baselines) {
-            let run = run_workload(w, cfg, instrs).expect("workload run");
-            let s = run.slowdown_vs(base);
-            sum += s;
+        for (w, runs) in workloads.iter().zip(&grid) {
+            let s = runs[1 + ei].slowdown_vs(&runs[0]);
             cells.push(pct(s));
             entries.push(format!("\"{w}\": {s:.6}"));
         }
-        let mean = sum / workloads.len() as f64;
+        let mean = mean_slowdown(&grid, 1 + ei, 0);
         cells.push(pct(mean));
         entries.push(format!("\"mean\": {mean:.6}"));
         let blocked = blocked_bank_cycles(cfg);

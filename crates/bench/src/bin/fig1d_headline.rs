@@ -5,48 +5,37 @@
 //! to ~1.5% at 500 and 2.5% at 250.
 
 use mopac::config::MitigationConfig;
-use mopac_bench::{instr_budget, pct, workload_filter, Report};
-use mopac_sim::experiment::run_workload;
-use mopac_workloads::spec::all_names;
+use mopac_bench::{instr_budget, mean_slowdown, pct, run_grid, workload_names, Report};
+use mopac_sim::system::SystemConfig;
 
-fn mean_slowdown(
-    cfg: MitigationConfig,
-    bases: &[(String, mopac_sim::RunResult)],
-    instrs: u64,
-) -> f64 {
-    let mut total = 0.0;
-    for (name, base) in bases {
-        let run = run_workload(name, cfg, instrs).expect("workload run");
-        total += run.slowdown_vs(base);
-    }
-    total / bases.len() as f64
-}
+const THRESHOLDS: [u64; 6] = [4000, 2000, 1000, 500, 250, 125];
 
 fn main() {
     let instrs = instr_budget();
-    let names: Vec<String> = workload_filter()
-        .unwrap_or_else(|| all_names().iter().map(|s| (*s).to_string()).collect());
-    // Baselines once per workload, shared across every threshold.
-    let bases: Vec<(String, mopac_sim::RunResult)> = names
-        .iter()
-        .map(|n| {
-            let b = run_workload(n, MitigationConfig::baseline(), instrs).expect("baseline run");
-            (n.clone(), b)
-        })
-        .collect();
+    let names = workload_names();
     let mut r = Report::new(
         "fig1d",
         "Mean slowdown vs T_RH (paper Fig 1d: PRAC ~10% flat; MoPAC 0.2% -> 2.5%)",
         &["T_RH", "PRAC", "MoPAC-C", "MoPAC-D"],
     );
-    // PRAC's overhead is threshold-invariant; measure once.
-    let prac = mean_slowdown(MitigationConfig::prac(500), &bases, instrs);
+    // Config 0 is the baseline and config 1 PRAC, whose overhead is
+    // threshold-invariant; then MoPAC-C and MoPAC-D per threshold.
+    let mut mitigations = vec![MitigationConfig::baseline(), MitigationConfig::prac(500)];
+    for t in THRESHOLDS {
+        mitigations.push(MitigationConfig::mopac_c(t));
+        mitigations.push(MitigationConfig::mopac_d(t));
+    }
+    let configs: Vec<SystemConfig> = mitigations
+        .into_iter()
+        .map(|m| SystemConfig::paper_default(m, instrs))
+        .collect();
+    let grid = run_grid(&names, &configs).expect("workload run");
+    let prac = mean_slowdown(&grid, 1, 0);
     eprintln!("PRAC mean: {}", pct(prac));
-    for t in [4000u64, 2000, 1000, 500, 250, 125] {
-        let c = mean_slowdown(MitigationConfig::mopac_c(t), &bases, instrs);
-        let d = mean_slowdown(MitigationConfig::mopac_d(t), &bases, instrs);
+    for (i, t) in THRESHOLDS.into_iter().enumerate() {
+        let c = mean_slowdown(&grid, 2 + 2 * i, 0);
+        let d = mean_slowdown(&grid, 3 + 2 * i, 0);
         r.row(&[t.to_string(), pct(prac), pct(c), pct(d)]);
-        eprintln!("done T_RH = {t}");
     }
     r.emit();
 }

@@ -6,45 +6,42 @@
 //! not ABO.
 
 use mopac::config::MitigationConfig;
-use mopac_bench::{instr_budget, pct, workload_filter, Report};
-use mopac_sim::experiment::run_workload;
-use mopac_workloads::spec::all_names;
+use mopac_bench::{instr_budget, mean_slowdown, pct, run_grid, workload_names, Report};
+use mopac_sim::system::SystemConfig;
 
 fn main() {
     let instrs = instr_budget();
-    let names: Vec<String> = workload_filter()
-        .unwrap_or_else(|| all_names().iter().map(|s| (*s).to_string()).collect());
-    let thresholds = [4000u64, 500, 100];
+    let names = workload_names();
     let mut r = Report::new(
         "fig2",
         "PRAC slowdown per workload at T_RH = 4000 / 500 / 100 \
          (paper: ~identical across thresholds, 10% avg)",
         &["workload", "T=4000", "T=500", "T=100", "alerts@500"],
     );
-    let mut sums = [0.0f64; 3];
-    for name in &names {
-        let base = run_workload(name, MitigationConfig::baseline(), instrs).expect("baseline run");
+    // Config 0 is the baseline; configs 1-3 PRAC at T = 4000 / 500 / 100.
+    let configs: Vec<SystemConfig> = [
+        MitigationConfig::baseline(),
+        MitigationConfig::prac(4000),
+        MitigationConfig::prac(500),
+        MitigationConfig::prac(100),
+    ]
+    .into_iter()
+    .map(|m| SystemConfig::paper_default(m, instrs))
+    .collect();
+    let grid = run_grid(&names, &configs).expect("workload run");
+    for (name, runs) in names.iter().zip(&grid) {
         let mut cells = vec![name.clone()];
-        let mut alerts500 = 0;
-        for (i, &t) in thresholds.iter().enumerate() {
-            let run = run_workload(name, MitigationConfig::prac(t), instrs).expect("PRAC run");
-            let s = run.slowdown_vs(&base);
-            sums[i] += s;
-            cells.push(pct(s));
-            if t == 500 {
-                alerts500 = run.dram.alerts();
-            }
+        for run in &runs[1..] {
+            cells.push(pct(run.slowdown_vs(&runs[0])));
         }
-        cells.push(alerts500.to_string());
+        cells.push(runs[2].dram.alerts().to_string());
         r.row(&cells);
-        eprintln!("  done {name}");
     }
-    let n = names.len() as f64;
     r.row(&[
         "mean".into(),
-        pct(sums[0] / n),
-        pct(sums[1] / n),
-        pct(sums[2] / n),
+        pct(mean_slowdown(&grid, 1, 0)),
+        pct(mean_slowdown(&grid, 2, 0)),
+        pct(mean_slowdown(&grid, 3, 0)),
         "-".into(),
     ]);
     r.emit();

@@ -7,11 +7,15 @@
 //! binary's output is captured and replayed on stdout in presentation
 //! order, so the console log reads exactly like the old sequential
 //! runner while the wall-clock time is bounded by the slowest
-//! experiment, not the sum.
+//! experiment, not the sum. Run on their own, the figure binaries are
+//! parallel inside as well (their cells run on the same driver through
+//! [`mopac_sim::experiment::run_cells`]); under `run_all` each child
+//! gets `MOPAC_THREADS=1`, because the workers here already fill the
+//! CPUs and a second level of threads only oversubscribes them.
 //!
 //! Budget knobs: `MOPAC_INSTRS` (per-core instructions, default 250k),
 //! `MOPAC_ATTACK_CYCLES`, `MOPAC_WORKLOADS` (comma list to restrict the
-//! sweeps), `MOPAC_THREADS` (worker threads, default: available
+//! sweeps), `MOPAC_THREADS` (worker threads here, default: available
 //! parallelism), `MOPAC_RUN_ALL_TIMEOUT_SECS` (per-binary budget,
 //! default 3600).
 
@@ -93,9 +97,13 @@ fn main() {
                 )));
             }
             let t0 = Instant::now();
-            let out = Command::new(&exe).output().map_err(|e| {
-                MopacError::internal(format!("{name} failed to launch: {e}"))
-            })?;
+            // The workers already keep every CPU busy, one child each,
+            // so a child runs its own cells on one thread: more would
+            // oversubscribe the host and slow the whole suite down.
+            let out = Command::new(&exe)
+                .env("MOPAC_THREADS", "1")
+                .output()
+                .map_err(|e| MopacError::internal(format!("{name} failed to launch: {e}")))?;
             Ok(ExperimentRun {
                 success: out.status.success(),
                 stdout: out.stdout,

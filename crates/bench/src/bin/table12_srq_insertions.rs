@@ -3,27 +3,23 @@
 //! 1/4).
 
 use mopac::config::MitigationConfig;
-use mopac_bench::{instr_budget, workload_filter, Report};
-use mopac_sim::experiment::run_workload;
-use mopac_workloads::spec::all_names;
+use mopac_bench::{instr_budget, run_grid, workload_names, Report};
+use mopac_sim::system::{RunResult, SystemConfig};
 
-/// SRQ insertions per 100 ACTs, per chip (stats sum over chips).
-fn rate(cfg: MitigationConfig, names: &[String], instrs: u64) -> f64 {
-    let mut insertions = 0u64;
-    let mut acts = 0u64;
-    for name in names {
-        let run = run_workload(name, cfg, instrs).expect("workload run");
-        insertions += run.mitigation.srq_insertions;
-        acts += run.dram.activates;
-        eprintln!("  done {name} ({cfg:?} T={})", cfg.t_rh);
-    }
-    insertions as f64 / u64::from(cfg.chips) as f64 / acts as f64 * 100.0
+/// SRQ insertions per 100 ACTs of config `c`, per chip (stats sum over
+/// chips).
+fn rate(grid: &[Vec<RunResult>], configs: &[SystemConfig], c: usize) -> f64 {
+    let insertions: u64 = grid
+        .iter()
+        .map(|runs| runs[c].mitigation.srq_insertions)
+        .sum();
+    let acts: u64 = grid.iter().map(|runs| runs[c].dram.activates).sum();
+    insertions as f64 / f64::from(configs[c].mitigation.chips) / acts as f64 * 100.0
 }
 
 fn main() {
     let instrs = instr_budget();
-    let names: Vec<String> = workload_filter()
-        .unwrap_or_else(|| all_names().iter().map(|s| (*s).to_string()).collect());
+    let names = workload_names();
     let mut r = Report::new(
         "table12",
         "SRQ insertions per 100 ACTs (paper Table 12)",
@@ -34,9 +30,21 @@ fn main() {
         (500, "1/8", 12.5, 6.3),
         (250, "1/4", 25.0, 13.4),
     ];
-    for (t, p, uni_want, nup_want) in paper {
-        let uni = rate(MitigationConfig::mopac_d(t), &names, instrs);
-        let nup = rate(MitigationConfig::mopac_d_nup(t), &names, instrs);
+    // Uniform and NUP MoPAC-D alternate, one pair per threshold.
+    let configs: Vec<SystemConfig> = paper
+        .iter()
+        .flat_map(|&(t, ..)| {
+            [
+                MitigationConfig::mopac_d(t),
+                MitigationConfig::mopac_d_nup(t),
+            ]
+        })
+        .map(|m| SystemConfig::paper_default(m, instrs))
+        .collect();
+    let grid = run_grid(&names, &configs).expect("workload run");
+    for (i, (t, p, uni_want, nup_want)) in paper.into_iter().enumerate() {
+        let uni = rate(&grid, &configs, 2 * i);
+        let nup = rate(&grid, &configs, 2 * i + 1);
         r.row(&[
             t.to_string(),
             p.to_string(),

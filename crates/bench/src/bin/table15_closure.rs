@@ -5,49 +5,13 @@
 //! paper; the close-page baseline itself runs ~1.8% behind open-page.
 
 use mopac::config::MitigationConfig;
-use mopac_bench::{instr_budget, pct, workload_filter, Report};
+use mopac_bench::{instr_budget, mean_slowdown, pct, run_grid, workload_names, Report};
 use mopac_memctrl::controller::PagePolicy;
-use mopac_sim::experiment::run_workload_with;
 use mopac_sim::system::SystemConfig;
-use mopac_workloads::spec::all_names;
-
-fn policy_baselines(
-    policy: PagePolicy,
-    names: &[String],
-    instrs: u64,
-) -> Vec<mopac_sim::RunResult> {
-    names
-        .iter()
-        .map(|name| {
-            let mut base_cfg =
-                SystemConfig::paper_default(MitigationConfig::baseline(), instrs);
-            base_cfg.mc.page_policy = policy;
-            run_workload_with(name, base_cfg).expect("baseline run")
-        })
-        .collect()
-}
-
-fn mean_slowdown(
-    mit: MitigationConfig,
-    policy: PagePolicy,
-    names: &[String],
-    bases: &[mopac_sim::RunResult],
-    instrs: u64,
-) -> f64 {
-    let mut total = 0.0;
-    for (name, base) in names.iter().zip(bases) {
-        let mut cfg = SystemConfig::paper_default(mit, instrs);
-        cfg.mc.page_policy = policy;
-        let run = run_workload_with(name, cfg).expect("workload run");
-        total += run.slowdown_vs(base);
-    }
-    total / names.len() as f64
-}
 
 fn main() {
     let instrs = instr_budget();
-    let names: Vec<String> = workload_filter()
-        .unwrap_or_else(|| all_names().iter().map(|s| (*s).to_string()).collect());
+    let names = workload_names();
     let mut r = Report::new(
         "table15",
         "Row-closure policies (paper Table 15: PRAC 10/7.1/7.5/8.2%; \
@@ -60,27 +24,39 @@ fn main() {
         ("tON=100ns", PagePolicy::TimeoutNs(100.0)),
         ("tON=200ns", PagePolicy::TimeoutNs(200.0)),
     ];
-    for (label, policy) in policies {
-        let bases = policy_baselines(policy, &names, instrs);
-        let base_ipc = bases
+    // Per policy, the same-policy baseline and then the four
+    // mitigations of the table's columns.
+    let mitigations = [
+        MitigationConfig::baseline(),
+        MitigationConfig::prac(500),
+        MitigationConfig::mopac_d(1000),
+        MitigationConfig::mopac_d(500),
+        MitigationConfig::mopac_d(250),
+    ];
+    let configs: Vec<SystemConfig> = policies
+        .iter()
+        .flat_map(|&(_, policy)| {
+            mitigations.map(|m| {
+                let mut cfg = SystemConfig::paper_default(m, instrs);
+                cfg.mc.page_policy = policy;
+                cfg
+            })
+        })
+        .collect();
+    let grid = run_grid(&names, &configs).expect("workload run");
+    for (i, (label, _)) in policies.into_iter().enumerate() {
+        let base = i * mitigations.len();
+        let base_ipc = grid
             .iter()
-            .map(|b| b.cores.iter().map(|c| c.ipc).sum::<f64>())
+            .map(|runs| runs[base].cores.iter().map(|c| c.ipc).sum::<f64>())
             .sum::<f64>()
             / names.len() as f64;
-        let prac = mean_slowdown(MitigationConfig::prac(500), policy, &names, &bases, instrs);
-        let d1000 =
-            mean_slowdown(MitigationConfig::mopac_d(1000), policy, &names, &bases, instrs);
-        let d500 = mean_slowdown(MitigationConfig::mopac_d(500), policy, &names, &bases, instrs);
-        let d250 = mean_slowdown(MitigationConfig::mopac_d(250), policy, &names, &bases, instrs);
-        r.row(&[
-            label.to_string(),
-            pct(prac),
-            pct(d1000),
-            pct(d500),
-            pct(d250),
-            format!("{base_ipc:.2}"),
-        ]);
-        eprintln!("done policy {label}");
+        let mut row = vec![label.to_string()];
+        for c in base + 1..base + mitigations.len() {
+            row.push(pct(mean_slowdown(&grid, c, base)));
+        }
+        row.push(format!("{base_ipc:.2}"));
+        r.row(&row);
     }
     r.emit();
 }
